@@ -222,33 +222,26 @@ pub fn acm_library() -> Application {
 
 /// Seed the ACM DL database with TODS-like content.
 pub fn seed_acm(db: &relstore::Database, volumes: usize, issues_per: usize, papers_per: usize) {
-    let mut volume_oid = 0i64;
     for v in 0..volumes {
-        db.execute(
-            "INSERT INTO volume (title, year) VALUES (:t, :y)",
-            &relstore::Params::new()
-                .bind("t", format!("TODS Volume {}", 27 - v as i64))
-                .bind("y", 2002 - v as i64),
-        )
-        .unwrap();
-        volume_oid += 1;
-        for i in 0..issues_per {
-            db.execute(
-                "INSERT INTO issue (number, volume_oid) VALUES (:n, :v)",
+        let volume_oid = db
+            .execute(
+                "INSERT INTO volume (title, year) VALUES (:t, :y)",
                 &relstore::Params::new()
-                    .bind("n", (i + 1) as i64)
-                    .bind("v", volume_oid),
+                    .bind("t", format!("TODS Volume {}", 27 - v as i64))
+                    .bind("y", 2002 - v as i64),
             )
-            .unwrap();
+            .expect("seed volume")
+            .keys()[0];
+        for i in 0..issues_per {
             let issue_oid = db
-                .query("SELECT MAX(oid) AS m FROM issue", &relstore::Params::new())
-                .unwrap()
-                .first("m")
-                .cloned()
-                .unwrap();
-            let relstore::Value::Integer(issue_oid) = issue_oid else {
-                panic!()
-            };
+                .execute(
+                    "INSERT INTO issue (number, volume_oid) VALUES (:n, :v)",
+                    &relstore::Params::new()
+                        .bind("n", (i + 1) as i64)
+                        .bind("v", volume_oid),
+                )
+                .expect("seed issue")
+                .keys()[0];
             for p in 0..papers_per {
                 db.execute(
                     "INSERT INTO paper (title, pages, issue_oid) VALUES (:t, :pg, :i)",

@@ -155,25 +155,18 @@ impl OperationEngine {
         match desc.op_type.as_str() {
             "create" => {
                 let bound = self.bind(desc, params)?;
-                let table = desc
-                    .entity_table
-                    .as_deref()
-                    .ok_or_else(|| MvcError::MissingDescriptor(format!("{}: entity", desc.id)))?;
                 let sql = desc
                     .sql
                     .as_deref()
                     .ok_or_else(|| MvcError::MissingDescriptor(format!("{}: sql", desc.id)))?;
                 match db.execute(sql, &bound) {
-                    Ok(_) => {
-                        // expose the new instance's oid to the forward target
+                    Ok(r) => {
+                        // expose the oid this INSERT minted to the forward
+                        // target (another client's concurrent create
+                        // cannot change it)
                         let mut outputs = ParamMap::new();
-                        if let Ok(rs) = db.query(
-                            &format!("SELECT MAX(oid) AS oid FROM {table}"),
-                            &Params::new(),
-                        ) {
-                            if let Some(v) = rs.first("oid") {
-                                outputs.insert("oid".into(), v.clone());
-                            }
+                        if let Some(&oid) = r.keys().last() {
+                            outputs.insert("oid".into(), Value::Integer(oid));
                         }
                         Ok(OpResult::ok_with(outputs))
                     }

@@ -365,7 +365,7 @@ impl Database {
     pub fn query_prepared(&self, stmt: &Arc<Statement>, params: &Params) -> Result<ResultSet> {
         match self.execute_prepared(stmt, params)? {
             ExecResult::Rows(r) => Ok(r),
-            ExecResult::Affected(_) => Err(Error::Unsupported("query() on a non-SELECT".into())),
+            _ => Err(Error::Unsupported("query() on a non-SELECT".into())),
         }
     }
 
@@ -381,23 +381,8 @@ impl Database {
                 self.record_select_stats(&stats);
                 Ok(ExecResult::Rows(rows))
             }
-            Statement::Insert(ins) => {
-                let n = self.autocommit_dml(|storage, undo, ctx| {
-                    storage.run_insert(ins, params, undo, ctx)
-                })?;
-                Ok(ExecResult::Affected(n))
-            }
-            Statement::Update(upd) => {
-                let n = self.autocommit_dml(|storage, undo, ctx| {
-                    storage.run_update(upd, params, undo, ctx)
-                })?;
-                Ok(ExecResult::Affected(n))
-            }
-            Statement::Delete(del) => {
-                let n = self.autocommit_dml(|storage, undo, ctx| {
-                    storage.run_delete(del, params, undo, ctx)
-                })?;
-                Ok(ExecResult::Affected(n))
+            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+                self.autocommit_dml(stmt, params)
             }
             Statement::CreateTable(schema) => {
                 let seq = {
@@ -445,19 +430,19 @@ impl Database {
 
     /// Run one DML statement as its own transaction: install uncommitted
     /// versions under the write lock, then commit-stamp (or roll back).
-    fn autocommit_dml(
-        &self,
-        f: impl FnOnce(&mut Storage, &mut UndoLog, &WriteCtx) -> Result<usize>,
-    ) -> Result<usize> {
+    fn autocommit_dml(&self, stmt: &Statement, params: &Params) -> Result<ExecResult> {
         let txid = self.mint_txid();
         let ctx = WriteCtx::exclusive(txid);
-        let (n, seq) = {
+        let mut stats = SelectStats::default();
+        let (r, seq) = {
             let mut storage = self.storage.write();
             let mut undo: UndoLog = Vec::new();
-            match f(&mut storage, &mut undo, &ctx) {
-                Ok(n) => {
+            let r = storage.run_dml(stmt, params, &mut undo, &ctx, &mut stats);
+            self.record_stats(&stats);
+            match r {
+                Ok(r) => {
                     let seq = self.commit_locked(&mut storage, &undo, txid);
-                    (n, seq)
+                    (r, seq)
                 }
                 Err(e) => {
                     storage.rollback(undo, txid);
@@ -466,14 +451,14 @@ impl Database {
             }
         };
         self.wait_durable_opt(seq)?;
-        Ok(n)
+        Ok(r)
     }
 
     /// Execute a SELECT and return its rows.
     pub fn query(&self, sql: &str, params: &Params) -> Result<ResultSet> {
         match self.execute(sql, params)? {
             ExecResult::Rows(r) => Ok(r),
-            ExecResult::Affected(_) => Err(Error::Unsupported("query() on a non-SELECT".into())),
+            _ => Err(Error::Unsupported("query() on a non-SELECT".into())),
         }
     }
 
@@ -541,18 +526,23 @@ impl Database {
         self.counters.statements_executed.inc();
     }
 
-    /// Add to the rows-scanned counter (session-path SELECTs).
-    /// Report one SELECT's executor statistics into the shared counters:
-    /// totals, access-path choices, and the per-query rows-scanned
-    /// distribution.
-    pub(crate) fn record_select_stats(&self, stats: &SelectStats) {
+    /// Report one statement's executor statistics into the shared
+    /// counters: rows examined and access-path choices. UPDATE and DELETE
+    /// report the row location of their WHERE here.
+    pub(crate) fn record_stats(&self, stats: &SelectStats) {
         let c = &self.counters;
         c.rows_scanned.add(stats.scanned);
-        c.rows_scanned_per_query.observe(stats.scanned);
         c.index_probes.add(stats.index_probes);
         c.hash_joins.add(stats.hash_joins);
         c.topk_shortcuts.add(stats.topk_shortcuts);
         c.scan_fallbacks.add(stats.scan_fallbacks);
+    }
+
+    /// [`Database::record_stats`] plus the per-query rows-scanned
+    /// distribution, which covers SELECTs only.
+    pub(crate) fn record_select_stats(&self, stats: &SelectStats) {
+        self.record_stats(stats);
+        self.counters.rows_scanned_per_query.observe(stats.scanned);
     }
 
     /// Names of all tables (sorted).
@@ -722,24 +712,14 @@ impl Transaction<'_> {
                 self.db.record_select_stats(&stats);
                 Ok(ExecResult::Rows(rows))
             }
-            Statement::Insert(ins) => Ok(ExecResult::Affected(self.storage.run_insert(
-                ins,
-                params,
-                &mut self.undo,
-                &self.ctx,
-            )?)),
-            Statement::Update(upd) => Ok(ExecResult::Affected(self.storage.run_update(
-                upd,
-                params,
-                &mut self.undo,
-                &self.ctx,
-            )?)),
-            Statement::Delete(del) => Ok(ExecResult::Affected(self.storage.run_delete(
-                del,
-                params,
-                &mut self.undo,
-                &self.ctx,
-            )?)),
+            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+                let mut stats = SelectStats::default();
+                let r = self
+                    .storage
+                    .run_dml(&stmt, params, &mut self.undo, &self.ctx, &mut stats);
+                self.db.record_stats(&stats);
+                r
+            }
             _ => Err(Error::Transaction(
                 "DDL is not allowed inside a transaction".into(),
             )),

@@ -1,5 +1,5 @@
 //! SELECT execution: scans, index probes, hash joins, grouping, ordering
-//! with Top-K pushdown.
+//! with Top-K pushdown. UPDATE and DELETE locate their rows here too.
 
 use crate::error::{Error, Result};
 use crate::expr::{contains_aggregate, eval, is_aggregate, Binding, EvalCtx, Params};
@@ -22,10 +22,11 @@ struct Source<'a> {
     snap: Snapshot,
 }
 
-/// Executor work statistics for one SELECT: how the planner answered each
-/// table access, and how many candidate rows it examined doing so. These
-/// are the figures behind the `db_*` planner counters in the observability
-/// registry — they measure work done, not rows returned.
+/// Executor work statistics for one SELECT, or for the row location of
+/// one UPDATE or DELETE: how the planner answered each table access, and
+/// how many candidate rows it examined doing so. These are the figures
+/// behind the `db_*` planner counters in the observability registry —
+/// they measure work done, not rows returned.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SelectStats {
     /// Candidate rows examined: base-scan/probe results, hash-build
@@ -130,10 +131,7 @@ pub fn run_select_with_stats(
         .map(|w| conjuncts(w))
         .unwrap_or_default();
 
-    // Base scan: try an index probe from WHERE conjuncts that bind base
-    // columns to row-independent expressions.
-    let base_ids = probe_or_scan(&sources[0], &where_conjuncts, params, stats)?;
-    stats.scanned += base_ids.len() as u64;
+    let base_ids = locate_rows(&sources[0], &where_conjuncts, params, stats)?;
 
     // Build the join product left to right. Per join, pick one access
     // path for the whole prefix set: index nested-loop when a covering
@@ -517,10 +515,10 @@ fn has_covering_index(table: &Table, probe_cols: &[usize]) -> bool {
 /// table, one key evaluation per combo, candidates grouped per combo. The
 /// build side is the smaller of the two inputs; either direction produces
 /// candidate lists in table-scan order, so results are identical to the
-/// nested-loop fallback. Keys are coerced to the joined column types
-/// (mirroring [`try_index_probe`]); NULL or uncoercible keys never match,
-/// like `=` under SQL three-valued logic. Over-inclusive matches are
-/// filtered by the caller's full ON evaluation.
+/// nested-loop fallback. Keys are coerced to the joined column types by
+/// [`probe_key_part`], as in [`try_index_probe`]; NULL or uncoercible keys
+/// never match, like `=` under SQL three-valued logic. Over-inclusive
+/// matches are filtered by the caller's full ON evaluation.
 fn hash_join_candidates(
     cur: &Source<'_>,
     probes: &[(usize, &Expr)],
@@ -542,15 +540,9 @@ fn hash_join_candidates(
         };
         let mut key = Vec::with_capacity(probes.len());
         for ((_, e), ty) in probes.iter().zip(&col_types) {
-            let v = eval(e, &ctx)?;
-            if v.is_null() {
-                return Ok(None);
-            }
-            match v.coerce(*ty) {
-                Ok(cv) => key.push(cv),
-                // a key that cannot coerce to the column type can never
-                // equal a stored value of that type
-                Err(_) => return Ok(None),
+            match probe_key_part(eval(e, &ctx)?, *ty) {
+                Some(v) => key.push(v),
+                None => return Ok(None),
             }
         }
         Ok(Some(key))
@@ -607,8 +599,51 @@ fn hash_join_candidates(
     Ok(out)
 }
 
-/// Base-table scan with optional WHERE-driven probe (no previous bindings).
-fn probe_or_scan(
+/// The rows a single-table UPDATE or DELETE touches under `snap`, in
+/// chain order: the [`locate_rows`] candidates that satisfy the full WHERE.
+/// Keyed writes (`WHERE oid = :oid`) thus examine one row, not the table.
+pub(crate) fn dml_rows(
+    table: &Table,
+    where_clause: Option<&Expr>,
+    params: &Params,
+    snap: Snapshot,
+    stats: &mut SelectStats,
+) -> Result<Vec<RowId>> {
+    let source = Source {
+        binding: table.schema.name.clone(),
+        table,
+        snap,
+    };
+    let where_conjuncts = where_clause.map(conjuncts).unwrap_or_default();
+    let mut ids = locate_rows(&source, &where_conjuncts, params, stats)?;
+    if let Some(w) = where_clause {
+        let mut kept = Vec::with_capacity(ids.len());
+        for id in ids {
+            let bindings = [Binding {
+                name: &source.binding,
+                schema: &table.schema,
+                row: table.visible_row(id, snap),
+            }];
+            let ctx = EvalCtx {
+                bindings: &bindings,
+                params,
+            };
+            if eval(w, &ctx)?.is_truthy() {
+                kept.push(id);
+            }
+        }
+        ids = kept;
+    }
+    Ok(ids)
+}
+
+/// The one row locator for a table with no previous bindings — SELECT's
+/// base table and the WHERE of UPDATE and DELETE. Uses a PK or secondary
+/// index probe when the WHERE conjuncts bind one to row-independent
+/// values, and a scan otherwise. Returns the candidate ids in chain (scan)
+/// order and counts them into `stats`. Candidates may include rows the
+/// WHERE rejects; callers re-check it.
+fn locate_rows(
     base: &Source<'_>,
     where_conjuncts: &[&Expr],
     params: &Params,
@@ -649,23 +684,32 @@ fn probe_or_scan(
             break;
         }
     }
-    if !probes.is_empty() {
+    let probed = if probes.is_empty() {
+        None
+    } else {
         let bindings: [Binding<'_>; 0] = [];
         let ctx = EvalCtx {
             bindings: &bindings,
             params,
         };
-        if let Some(ids) = try_index_probe(base.table, &probes, &ctx, base.snap)? {
+        try_index_probe(base.table, &probes, &ctx, base.snap)?
+    };
+    let ids = match probed {
+        Some(mut ids) => {
             stats.index_probes += 1;
-            return Ok(ids);
+            ids.sort_unstable();
+            ids
         }
-    }
-    stats.scan_fallbacks += 1;
-    Ok(base
-        .table
-        .iter_visible(base.snap)
-        .map(|(id, _)| id)
-        .collect())
+        None => {
+            stats.scan_fallbacks += 1;
+            base.table
+                .iter_visible(base.snap)
+                .map(|(id, _)| id)
+                .collect()
+        }
+    };
+    stats.scanned += ids.len() as u64;
+    Ok(ids)
 }
 
 fn references_any_column(e: &Expr) -> bool {
@@ -678,10 +722,28 @@ fn references_any_column(e: &Expr) -> bool {
     hit
 }
 
+/// A probe key component as stored in a column of type `ty`, or `None`
+/// when no stored value can equal it under `=`: NULL, or a value that
+/// does not coerce to `ty` (`oid = 'abc'`, `oid = 2.5`).
+fn probe_key_part(v: Value, ty: DataType) -> Option<Value> {
+    match (v, ty) {
+        (Value::Null, _) => None,
+        // `=` compares Real and Timestamp by value; `coerce` has no
+        // conversion between them
+        (Value::Timestamp(t), DataType::Real) => Some(Value::Real(t as f64)),
+        (Value::Real(r), DataType::Timestamp) if r.fract() == 0.0 => {
+            Some(Value::Timestamp(r as i64))
+        }
+        (v, ty) => v.coerce(ty).ok(),
+    }
+}
+
 /// Attempt a PK or secondary-index probe with the extracted equalities.
-/// Returns `None` when no usable index exists. Index buckets cover every
-/// version holding the key, so each candidate is re-checked against the
-/// snapshot's visible version before it is returned.
+/// Returns `None` when no usable index exists, and an empty candidate list
+/// when a key component can never match ([`probe_key_part`]). Index
+/// buckets cover every version holding the key, so each candidate is
+/// re-checked against the snapshot's visible version before it is
+/// returned.
 fn try_index_probe(
     table: &Table,
     probes: &[(usize, &Expr)],
@@ -691,12 +753,18 @@ fn try_index_probe(
     // primary key: all PK columns must be bound
     let pk = &table.schema.primary_key;
     if !pk.is_empty() && pk.iter().all(|c| probes.iter().any(|(p, _)| p == c)) {
-        let mut key = Vec::with_capacity(pk.len());
-        for c in pk {
-            let (_, e) = probes.iter().find(|(p, _)| p == c).unwrap();
-            let col_type = table.schema.columns[*c].data_type;
-            key.push(eval(e, ctx)?.coerce(col_type)?);
-        }
+        let cols: Vec<&(usize, &Expr)> = pk
+            .iter()
+            .map(|c| {
+                probes
+                    .iter()
+                    .find(|(p, _)| p == c)
+                    .expect("every PK column is bound")
+            })
+            .collect();
+        let Some(key) = probe_key(table, &cols, ctx)? else {
+            return Ok(Some(Vec::new()));
+        };
         return Ok(Some(
             table
                 .get_by_pk_visible(&key, snap)
@@ -713,15 +781,30 @@ fn try_index_probe(
             .map_while(|c| probes.iter().find(|(p, _)| p == c))
             .collect();
         if covered.len() == ix.columns.len() {
-            let mut key = Vec::with_capacity(covered.len());
-            for (c, e) in &covered {
-                let col_type = table.schema.columns[*c].data_type;
-                key.push(eval(e, ctx)?.coerce(col_type)?);
-            }
+            let Some(key) = probe_key(table, &covered, ctx)? else {
+                return Ok(Some(Vec::new()));
+            };
             return Ok(Some(table.probe_visible(ix, &key, snap)));
         }
     }
     Ok(None)
+}
+
+/// Evaluate the probe key for `cols`; `None` when some component can never
+/// match.
+fn probe_key(
+    table: &Table,
+    cols: &[&(usize, &Expr)],
+    ctx: &EvalCtx<'_>,
+) -> Result<Option<Vec<Value>>> {
+    let mut key = Vec::with_capacity(cols.len());
+    for (c, e) in cols {
+        match probe_key_part(eval(e, ctx)?, table.schema.columns[*c].data_type) {
+            Some(v) => key.push(v),
+            None => return Ok(None),
+        }
+    }
+    Ok(Some(key))
 }
 
 // ---- projection ---------------------------------------------------------

@@ -19,11 +19,13 @@
 //!   queries use named parameters matching WebML link parameters.
 //!
 //! Execution uses primary-key and secondary B-tree indexes for equality
-//! probes (base-table WHERE pushdown and join acceleration), a build/probe
-//! hash join for unindexed equi-join conjuncts, and a bounded Top-K heap
-//! for `ORDER BY` + `LIMIT`; everything else is a scan + filter, which is
-//! the right trade-off for the unit-query workload this engine serves.
-//! [`exec::SelectStats`] reports which path answered each query.
+//! probes (WHERE pushdown for SELECT, UPDATE and DELETE, and join
+//! acceleration), a build/probe hash join for unindexed equi-join
+//! conjuncts, and a bounded Top-K heap for `ORDER BY` + `LIMIT`;
+//! everything else is a scan + filter, which is the right trade-off for
+//! the unit-query workload this engine serves. [`exec::SelectStats`]
+//! reports which path answered each statement. An INSERT returns the
+//! AUTOINCREMENT keys it stored ([`ExecResult::Inserted`]).
 //!
 //! ```
 //! use relstore::{Database, Params, Value};

@@ -7,8 +7,12 @@ use crate::value::Value;
 pub enum ExecResult {
     /// A SELECT produced rows.
     Rows(ResultSet),
-    /// A DML/DDL statement affected this many rows (0 for DDL).
+    /// An UPDATE/DELETE/DDL statement affected this many rows (0 for DDL).
     Affected(usize),
+    /// An INSERT stored `count` rows. `keys` holds each stored row's
+    /// AUTOINCREMENT key in VALUES order (the oid a create forwards to);
+    /// it is empty when the table has no AUTOINCREMENT column.
+    Inserted { count: usize, keys: Vec<i64> },
 }
 
 impl ExecResult {
@@ -16,14 +20,22 @@ impl ExecResult {
     pub fn rows(self) -> ResultSet {
         match self {
             ExecResult::Rows(r) => r,
-            ExecResult::Affected(n) => panic!("expected rows, got {n} affected"),
+            other => panic!("expected rows, got {} affected", other.affected()),
         }
     }
 
     pub fn affected(self) -> usize {
         match self {
-            ExecResult::Affected(n) => n,
+            ExecResult::Affected(n) | ExecResult::Inserted { count: n, .. } => n,
             ExecResult::Rows(r) => r.len(),
+        }
+    }
+
+    /// The AUTOINCREMENT keys an INSERT stored (empty for anything else).
+    pub fn keys(&self) -> &[i64] {
+        match self {
+            ExecResult::Inserted { keys, .. } => keys,
+            _ => &[],
         }
     }
 }

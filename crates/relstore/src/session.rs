@@ -115,24 +115,18 @@ impl Session {
                             snapshot_lsn: txn.snapshot_lsn,
                         };
                         let undo = &mut txn.undo;
+                        let mut stats = SelectStats::default();
                         let r = self.db.with_storage_mut(|storage| {
                             let mark = undo.len();
-                            let r = match stmt.as_ref() {
-                                Statement::Insert(i) => storage.run_insert(i, params, undo, &ctx),
-                                Statement::Update(u) => storage.run_update(u, params, undo, &ctx),
-                                Statement::Delete(d) => storage.run_delete(d, params, undo, &ctx),
-                                _ => unreachable!(),
-                            };
-                            match r {
-                                Ok(n) => Ok(ExecResult::Affected(n)),
-                                Err(e) => {
-                                    // statement-level atomicity inside the txn
-                                    let tail: UndoLog = undo.drain(mark..).collect();
-                                    storage.rollback(tail, ctx.txid);
-                                    Err(e)
-                                }
+                            let r = storage.run_dml(&stmt, params, undo, &ctx, &mut stats);
+                            if r.is_err() {
+                                // statement-level atomicity inside the txn
+                                let tail: UndoLog = undo.drain(mark..).collect();
+                                storage.rollback(tail, ctx.txid);
                             }
+                            r
                         });
+                        self.db.record_stats(&stats);
                         r.map_err(|e| self.db.note_conflict(e))
                     }
                     None => self.db.execute_stmt(&stmt, params),

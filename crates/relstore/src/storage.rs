@@ -2,8 +2,10 @@
 //! foreign-key enforcement and an undo log for transactions.
 
 use crate::error::{Error, Result};
+use crate::exec::{dml_rows, SelectStats};
 use crate::expr::{eval, Binding, EvalCtx, Params};
-use crate::sql::ast::{Delete, Expr, Insert, Update};
+use crate::result::ExecResult;
+use crate::sql::ast::{Delete, Expr, Insert, Statement, Update};
 use crate::table::{Row, RowId, Snapshot, Table, WriteCtx};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -229,15 +231,38 @@ impl Storage {
 
     // ---- DML --------------------------------------------------------------
 
-    /// Execute INSERT; returns number of rows inserted. New versions are
-    /// txn-marked with `ctx.txid` until commit stamps them.
-    pub fn run_insert(
+    /// Execute one INSERT, UPDATE or DELETE into the transaction whose undo
+    /// log is `undo`. UPDATE and DELETE report how they located their rows
+    /// into `stats`.
+    pub fn run_dml(
+        &mut self,
+        stmt: &Statement,
+        params: &Params,
+        undo: &mut UndoLog,
+        ctx: &WriteCtx,
+        stats: &mut SelectStats,
+    ) -> Result<ExecResult> {
+        match stmt {
+            Statement::Insert(ins) => self.run_insert(ins, params, undo, ctx),
+            Statement::Update(upd) => self
+                .run_update(upd, params, undo, ctx, stats)
+                .map(ExecResult::Affected),
+            Statement::Delete(del) => self
+                .run_delete(del, params, undo, ctx, stats)
+                .map(ExecResult::Affected),
+            _ => Err(Error::Unsupported("not a DML statement".into())),
+        }
+    }
+
+    /// Execute INSERT, reporting the rows' AUTOINCREMENT keys. New versions
+    /// are txn-marked with `ctx.txid` until commit stamps them.
+    fn run_insert(
         &mut self,
         ins: &Insert,
         params: &Params,
         undo: &mut UndoLog,
         ctx: &WriteCtx,
-    ) -> Result<usize> {
+    ) -> Result<ExecResult> {
         let snap = Snapshot::current(ctx.txid);
         let table = self.require_table(&ins.table)?;
         let schema = table.schema.clone();
@@ -257,7 +282,8 @@ impl Storage {
             bindings: &empty,
             params,
         };
-        let mut count = 0;
+        let auto_col = schema.columns.iter().position(|c| c.auto_increment);
+        let mut keys = Vec::new();
         for row_exprs in &ins.rows {
             if row_exprs.len() != positions.len() {
                 return Err(Error::Parameter(format!(
@@ -283,18 +309,24 @@ impl Storage {
                 table: ins.table.to_ascii_lowercase(),
                 row_id: id,
             });
-            count += 1;
+            if let Some(Value::Integer(k)) = auto_col.map(|c| &stored[c]) {
+                keys.push(*k);
+            }
         }
-        Ok(count)
+        Ok(ExecResult::Inserted {
+            count: ins.rows.len(),
+            keys,
+        })
     }
 
     /// Execute UPDATE; returns number of rows changed.
-    pub fn run_update(
+    fn run_update(
         &mut self,
         upd: &Update,
         params: &Params,
         undo: &mut UndoLog,
         ctx: &WriteCtx,
+        stats: &mut SelectStats,
     ) -> Result<usize> {
         let snap = Snapshot::current(ctx.txid);
         let table = self.require_table(&upd.table)?;
@@ -306,27 +338,11 @@ impl Storage {
             targets.push((schema.require_column(c)?, e));
         }
         // select affected rows first (snapshot ids), then mutate
-        let mut affected: Vec<(RowId, Row)> = Vec::new();
-        for (id, row) in table.iter_visible(snap) {
-            let keep = match &upd.where_clause {
-                Some(w) => {
-                    let bindings = [Binding {
-                        name: &binding_name,
-                        schema: &schema,
-                        row: Some(row),
-                    }];
-                    let eval_ctx = EvalCtx {
-                        bindings: &bindings,
-                        params,
-                    };
-                    eval(w, &eval_ctx)?.is_truthy()
-                }
-                None => true,
-            };
-            if keep {
-                affected.push((id, row.clone()));
-            }
-        }
+        let affected: Vec<(RowId, Row)> =
+            dml_rows(table, upd.where_clause.as_ref(), params, snap, stats)?
+                .into_iter()
+                .filter_map(|id| Some((id, table.visible_row(id, snap)?.clone())))
+                .collect();
         let mut count = 0;
         for (id, old_row) in affected {
             let mut new_row = old_row.clone();
@@ -379,38 +395,17 @@ impl Storage {
     }
 
     /// Execute DELETE; returns number of rows removed (including cascades).
-    pub fn run_delete(
+    fn run_delete(
         &mut self,
         del: &Delete,
         params: &Params,
         undo: &mut UndoLog,
         ctx: &WriteCtx,
+        stats: &mut SelectStats,
     ) -> Result<usize> {
         let snap = Snapshot::current(ctx.txid);
         let table = self.require_table(&del.table)?;
-        let schema = table.schema.clone();
-        let binding_name = schema.name.clone();
-        let mut victims: Vec<RowId> = Vec::new();
-        for (id, row) in table.iter_visible(snap) {
-            let keep = match &del.where_clause {
-                Some(w) => {
-                    let bindings = [Binding {
-                        name: &binding_name,
-                        schema: &schema,
-                        row: Some(row),
-                    }];
-                    let eval_ctx = EvalCtx {
-                        bindings: &bindings,
-                        params,
-                    };
-                    eval(w, &eval_ctx)?.is_truthy()
-                }
-                None => true,
-            };
-            if keep {
-                victims.push(id);
-            }
-        }
+        let victims = dml_rows(table, del.where_clause.as_ref(), params, snap, stats)?;
         let mut count = 0;
         for id in victims {
             count += self.delete_row(&del.table, id, undo, ctx)?;

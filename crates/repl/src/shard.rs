@@ -168,7 +168,7 @@ impl ShardedStore {
     pub fn query(&self, sql: &str, params: &Params) -> relstore::Result<ResultSet> {
         match self.execute(sql, params)? {
             ExecResult::Rows(rs) => Ok(rs),
-            ExecResult::Affected(_) => Err(Error::Unsupported("not a SELECT".into())),
+            _ => Err(Error::Unsupported("not a SELECT".into())),
         }
     }
 
@@ -180,14 +180,16 @@ impl ShardedStore {
     ) -> relstore::Result<ExecResult> {
         let plan = routing::insert_routing(&ins, &self.keys).map_err(|r| unsupported(r, sql))?;
         let key = self.shard_key(&ins.table).to_string();
-        let mut affected = 0usize;
+        let mut keys = Vec::new();
         for row in &ins.rows {
             let one = Insert {
                 table: ins.table.clone(),
                 columns: ins.columns.clone(),
                 rows: vec![row.clone()],
             };
-            affected += match plan {
+            // each shard reports the key it stored: the global mint for
+            // auto-assigned oids, since the shard assigns exactly that id
+            let stored = match plan {
                 InsertRouting::ByKeyColumn(pos) => {
                     let v = eval_route(&row[pos], params)?;
                     // explicit surrogate keys must advance the global
@@ -201,9 +203,7 @@ impl ShardedStore {
                     }
                     let target = self.shard_for(&v);
                     let stmt = Arc::new(Statement::Insert(one));
-                    self.shards[target]
-                        .execute_prepared(&stmt, params)?
-                        .affected()
+                    self.shards[target].execute_prepared(&stmt, params)?
                 }
                 InsertRouting::ByMintedOid => {
                     // auto-assigned surrogate: mint a global id, force the
@@ -220,13 +220,15 @@ impl ShardedStore {
                     let target = self.shard_for(&Value::Integer(g));
                     self.shards[target].set_auto_counter(&ins.table, g)?;
                     let stmt = Arc::new(Statement::Insert(one));
-                    self.shards[target]
-                        .execute_prepared(&stmt, params)?
-                        .affected()
+                    self.shards[target].execute_prepared(&stmt, params)?
                 }
             };
+            keys.extend_from_slice(stored.keys());
         }
-        Ok(ExecResult::Affected(affected))
+        Ok(ExecResult::Inserted {
+            count: ins.rows.len(),
+            keys,
+        })
     }
 
     fn execute_dml(
@@ -463,6 +465,31 @@ mod tests {
         oids.sort_unstable();
         assert_eq!(oids, (1..=9).collect::<Vec<i64>>(), "dense, no collisions");
         assert!(populated >= 2, "9 rows should spread past one shard");
+    }
+
+    #[test]
+    fn insert_returns_the_global_mint() {
+        let s = store();
+        let r = s
+            .execute(
+                "INSERT INTO volume (title) VALUES ('vol 10'), ('vol 11')",
+                &Params::new(),
+            )
+            .unwrap();
+        assert_eq!(
+            r.keys(),
+            &[10, 11],
+            "the store's global mint, in VALUES order"
+        );
+        for (oid, title) in [(10, "vol 10"), (11, "vol 11")] {
+            let rs = s
+                .query(
+                    "SELECT title FROM volume WHERE oid = ?",
+                    &Params::positional([Value::Integer(oid)]),
+                )
+                .unwrap();
+            assert_eq!(rs.first("title"), Some(&Value::Text(title.into())));
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One flushed batch, as handed to observers: `(lsn, changes)` per
 /// committed transaction, in commit order.
@@ -435,18 +435,22 @@ impl LogWriter {
     /// [`LogWriter::append`] or queued-but-undispatched batches. Returns
     /// `false` once stopping.
     pub fn park_flusher(&self) -> bool {
-        let s = self.state.lock().unwrap();
-        if s.stopping {
-            return false;
+        let deadline = Instant::now() + self.window.max(Duration::from_millis(1));
+        let mut s = self.state.lock().unwrap();
+        loop {
+            if s.stopping {
+                return false;
+            }
+            if s.flush_due || !s.dispatch.is_empty() {
+                return true;
+            }
+            // the condvar also wakes durability waiters after every
+            // flush; those wake-ups are not flush requests, so park again
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return true;
+            };
+            s = self.cond.wait_timeout(s, left).unwrap().0;
         }
-        if s.flush_due || !s.dispatch.is_empty() {
-            return true;
-        }
-        let (s, _timeout) = self
-            .cond
-            .wait_timeout(s, self.window.max(Duration::from_millis(1)))
-            .unwrap();
-        !s.stopping
     }
 
     /// The group-commit window.

@@ -43,6 +43,12 @@ for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
     cargo test -p relstore --release -q --test concurrent seeded_schedule_stress
 done
 
+echo "== create-forward stress (concurrent HTTP creates forward to their own row under three seeds)"
+for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
+  RELSTORE_STRESS_SEED="$seed" \
+    cargo test --release -q --test create_forward seeded_concurrent_create_forward
+done
+
 echo "== tier-1 tests (root package: unit + integration + property suites)"
 cargo test --release -q
 
