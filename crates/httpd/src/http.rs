@@ -364,6 +364,17 @@ fn read_line_bounded(
     }
 }
 
+/// A `Content-Length` value. One that is not a decimal length is an
+/// error: read as 0, the body would be parsed as the next request.
+fn parse_content_length(value: &str) -> io::Result<usize> {
+    value.parse().map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("invalid Content-Length: {value:?}"),
+        )
+    })
+}
+
 /// Read one request from an existing buffered reader, leaving any
 /// pipelined bytes of the *next* request untouched in the buffer — this
 /// is the keep-alive entry point: one `BufReader` per connection, reused
@@ -410,7 +421,7 @@ pub fn read_request_from(
             let name = h[..colon].trim().to_string();
             let value = h[colon + 1..].trim().to_string();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
+                content_length = parse_content_length(&value)?;
             }
             headers.push((name, value));
         }
@@ -525,7 +536,7 @@ pub fn parse_request_bytes(buf: &[u8], max_header_bytes: usize) -> io::Result<Pa
             let name = h[..colon].trim().to_string();
             let value = h[colon + 1..].trim().to_string();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
+                content_length = parse_content_length(&value)?;
             }
             headers.push((name, value));
         }
@@ -684,6 +695,14 @@ mod tests {
             Err(RequestError::HeadersTooLarge) => {}
             other => panic!("expected HeadersTooLarge, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn invalid_content_length_is_rejected() {
+        let raw = b"POST /op HTTP/1.1\r\nContent-Length: 4x\r\n\r\nbody";
+        assert!(parse_request_bytes(raw, MAX_HEADER_BYTES).is_err());
+        let mut reader = BufReader::new(&raw[..]);
+        assert!(read_request_from(&mut reader, MAX_HEADER_BYTES).is_err());
     }
 
     #[test]

@@ -8,12 +8,11 @@
 
 use crate::beans::{BeanRow, NestedBeanRow, UnitBean};
 use crate::request::build_url;
-use crate::services::ParamMap;
+use crate::services::{block_offset, ParamMap};
 use descriptors::{DescriptorSet, PageDescriptor, ParamBinding, UnitDescriptor, UnitLinkSpec};
 use presentation::{
     AnchorRef, ContentBody, ContentRow, FormContent, FormField, NestedRow, Pager, UnitContent,
 };
-use relstore::Value;
 
 /// Resolve one link parameter against a row.
 fn row_param(p: &ParamBinding, row: &BeanRow) -> Option<(String, String)> {
@@ -171,14 +170,7 @@ pub fn unit_content(
     // scroller pager
     let pager = match (bean, desc.block_size) {
         (UnitBean::Rows { rows, total }, Some(block)) if desc.unit_type == "scroller" => {
-            let offset = request_params
-                .get("block_offset")
-                .and_then(|v| match v {
-                    Value::Integer(i) => Some(*i as usize),
-                    Value::Text(s) => s.parse().ok(),
-                    _ => None,
-                })
-                .unwrap_or(0);
+            let offset = block_offset(request_params);
             let mk = |off: usize| {
                 let mut params: Vec<(String, String)> = request_params
                     .iter()
@@ -243,6 +235,7 @@ pub fn navigation_html(set: &DescriptorSet, site_view: &str, current: &str) -> S
 mod tests {
     use super::*;
     use descriptors::{ControllerConfig, FieldSpec, QuerySpec};
+    use relstore::Value;
 
     fn page(links: Vec<UnitLinkSpec>) -> PageDescriptor {
         PageDescriptor {
@@ -422,6 +415,26 @@ mod tests {
         let next = pager.next.unwrap();
         assert!(next.contains("block_offset=20"));
         assert!(next.contains("category=notebooks"));
+    }
+
+    #[test]
+    fn scroller_pager_reads_a_negative_offset_as_the_first_block() {
+        // the service shows the first block for `block_offset=-3`; the
+        // pager must describe that block, not wrap the offset
+        let mut d = desc("scroller");
+        d.block_size = Some(10);
+        let bean = UnitBean::Rows {
+            rows: (0..10).map(|i| row(i, "x")).collect(),
+            total: 25,
+        };
+        let mut params = ParamMap::new();
+        params.insert("block_offset".into(), Value::Integer(-3));
+        let pager = unit_content(&d, &page(vec![]), &bean, &params)
+            .pager
+            .unwrap();
+        assert_eq!(pager.position, "1-10 of 25");
+        assert!(pager.prev.is_none());
+        assert!(pager.next.unwrap().contains("block_offset=10"));
     }
 
     #[test]

@@ -73,40 +73,52 @@ fn bind(q: &QuerySpec, params: &ParamMap, unit: &str) -> Result<Params> {
     Ok(out)
 }
 
-/// Pack a result set into bean rows following the descriptor's bean shape
-/// (all result columns when the shape is empty). Column positions are
-/// resolved once per result set, not per cell.
-fn pack(rs: &ResultSet, q: &QuerySpec) -> Vec<BeanRow> {
-    let mut rows = Vec::with_capacity(rs.len());
+/// Pack rows `skip..skip + take` of a result set into bean rows following
+/// the descriptor's bean shape (all result columns when the shape is
+/// empty), dropping the others unread. Column positions are resolved once
+/// per result set, not per cell. Each cell is moved into its bean, not
+/// cloned: packing allocates the bean vectors and property names only.
+fn pack(rs: ResultSet, q: &QuerySpec, skip: usize, take: usize) -> Vec<BeanRow> {
+    let (columns, rows) = rs.into_parts();
+    let rows = rows.into_iter().skip(skip).take(take);
     if q.bean.is_empty() {
-        for row in rs.rows() {
-            let values = rs
-                .columns()
-                .iter()
-                .zip(row)
-                .map(|(col, v)| (col.clone(), v.clone()))
-                .collect();
-            rows.push(BeanRow { values });
-        }
-    } else {
-        let positions: Vec<(usize, Option<usize>)> = q
-            .bean
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i, rs.column_index(&p.column)))
+        return rows
+            .map(|row| BeanRow {
+                values: columns.iter().cloned().zip(row).collect(),
+            })
             .collect();
-        for row in rs.rows() {
-            let values = positions
-                .iter()
-                .map(|&(i, pos)| {
-                    let v = pos.map(|c| row[c].clone()).unwrap_or(Value::Null);
-                    (q.bean[i].name.clone(), v)
-                })
-                .collect();
-            rows.push(BeanRow { values });
-        }
     }
-    rows
+    // (property, column position, read again by a later property)
+    let positions: Vec<(&str, Option<usize>, bool)> = q
+        .bean
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let pos = columns
+                .iter()
+                .position(|c| c.eq_ignore_ascii_case(&p.column));
+            let again = pos.is_some()
+                && q.bean[i + 1..]
+                    .iter()
+                    .any(|later| later.column.eq_ignore_ascii_case(&p.column));
+            (p.name.as_str(), pos, again)
+        })
+        .collect();
+    rows.map(|mut row| {
+        let values = positions
+            .iter()
+            .map(|&(name, pos, again)| {
+                let v = match pos {
+                    None => Value::Null,
+                    Some(c) if again => row[c].clone(),
+                    Some(c) => std::mem::replace(&mut row[c], Value::Null),
+                };
+                (name.to_string(), v)
+            })
+            .collect();
+        BeanRow { values }
+    })
+    .collect()
 }
 
 fn main_query(desc: &UnitDescriptor) -> Result<&QuerySpec> {
@@ -121,7 +133,7 @@ impl UnitService for GenericDataService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        Ok(UnitBean::Single(pack(&rs, q).into_iter().next()))
+        Ok(UnitBean::Single(pack(rs, q, 0, 1).pop()))
     }
 }
 
@@ -133,9 +145,21 @@ impl UnitService for GenericIndexService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        let rows = pack(&rs, q);
+        let rows = pack(rs, q, 0, usize::MAX);
         let total = rows.len();
         Ok(UnitBean::Rows { rows, total })
+    }
+}
+
+/// The first row of the block a scroller shows. A missing, negative or
+/// malformed `block_offset` shows the first block, like the link that
+/// enters the page; the service and the pager both read it here, so the
+/// pager always describes the block shown.
+pub(crate) fn block_offset(params: &ParamMap) -> usize {
+    match params.get("block_offset") {
+        Some(Value::Integer(i)) => usize::try_from(*i).unwrap_or(0),
+        Some(Value::Text(s)) => s.parse().unwrap_or(0),
+        _ => 0,
     }
 }
 
@@ -146,20 +170,16 @@ impl UnitService for GenericScrollerService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let block = desc.block_size.unwrap_or(10).max(1);
-        let offset = match params.get("block_offset") {
-            Some(Value::Integer(i)) if *i >= 0 => *i as usize,
-            Some(Value::Text(s)) => s.parse().unwrap_or(0),
-            _ => 0,
-        };
-        // fetch everything once (the simulated data tier is in memory),
-        // then slice the requested block; `total` drives the pager
+        let offset = block_offset(params);
+        // fetch everything once (the simulated data tier is in memory):
+        // its length is the `total` that drives the pager, and only the
+        // requested block is packed into beans
         let mut effective = params.clone();
         effective.insert("block_limit".into(), Value::Integer(i64::MAX / 2));
         effective.insert("block_offset".into(), Value::Integer(0));
         let rs = db.query(&q.sql, &bind(q, &effective, &desc.id)?)?;
-        let all = pack(&rs, q);
-        let total = all.len();
-        let rows: Vec<BeanRow> = all.into_iter().skip(offset).take(block).collect();
+        let total = rs.len();
+        let rows = pack(rs, q, offset, block);
         Ok(UnitBean::Rows { rows, total })
     }
 }
@@ -184,7 +204,7 @@ impl GenericHierarchyService {
             return Ok(Vec::new());
         };
         let rs = db.query(&q.sql, &bind(q, parent_params, &desc.id)?)?;
-        let rows = pack(&rs, q);
+        let rows = pack(rs, q, 0, usize::MAX);
         let mut out = Vec::with_capacity(rows.len());
         let has_next = desc
             .queries
@@ -556,6 +576,74 @@ mod tests {
         // unknown type + unknown name fails
         let d4 = desc("u", "weird", "Nope", vec![]);
         assert!(matches!(r.resolve(&d4), Err(MvcError::NoService(_))));
+    }
+
+    #[test]
+    fn select_and_pack_copy_each_cell_once() {
+        use crate::alloc_counter::allocations_during;
+        const ROWS: usize = 200;
+        const TEXT_CELLS: usize = 2;
+        let db = Database::new();
+        db.execute_script(
+            "CREATE TABLE item (oid INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT, \
+             attr1 TEXT, attr2 INTEGER, attr3 REAL)",
+        )
+        .unwrap();
+        for i in 0..ROWS as i64 {
+            db.execute(
+                "INSERT INTO item (name, attr1, attr2, attr3) VALUES (:n, :a, :b, :c)",
+                &Params::new()
+                    .bind("n", format!("item {:03}", (i * 37) % ROWS as i64))
+                    .bind("a", format!("attribute {i}"))
+                    .bind("b", i)
+                    .bind("c", Value::Real(i as f64 / 4.0)),
+            )
+            .unwrap();
+        }
+        let sql = "SELECT t.oid, t.name, t.attr1, t.attr2, t.attr3 FROM item t ORDER BY t.name";
+        let params = Params::new();
+        // warm-up outside the measured window (plan cache, lazy runtime init)
+        let warm = db.query(sql, &params).unwrap();
+        let (allocs, rs) = allocations_during(|| db.query(sql, &params).unwrap());
+        assert_eq!(rs, warm);
+        assert_eq!(rs.len(), ROWS);
+        // one vector per result row plus one copy per text cell; the rest
+        // is per statement
+        let bound = ROWS * (1 + TEXT_CELLS) + 32;
+        assert!(
+            allocs <= bound,
+            "SELECT of {ROWS} rows allocated {allocs} times (bound {bound}): \
+             cells or rows are copied more than once"
+        );
+
+        let bean: Vec<BeanProperty> = ["oid", "name", "attr1", "attr2", "attr3"]
+            .iter()
+            .map(|c| BeanProperty {
+                name: c.to_string(),
+                column: c.to_string(),
+                attr_type: "String".into(),
+            })
+            .collect();
+        let props = bean.len();
+        let spec = QuerySpec {
+            name: "main".into(),
+            sql: sql.into(),
+            inputs: vec![],
+            bean,
+        };
+        let (allocs, beans) = allocations_during(|| pack(rs, &spec, 0, usize::MAX));
+        assert_eq!(beans.len(), ROWS);
+        for (bean, row) in beans.iter().zip(warm.rows()) {
+            let values: Vec<&Value> = bean.values.iter().map(|(_, v)| v).collect();
+            assert_eq!(values, row.iter().collect::<Vec<_>>());
+        }
+        // per row: the bean vector and one name per property; no value
+        // is cloned (that would add ROWS * TEXT_CELLS)
+        let bound = ROWS * (1 + props) + 4;
+        assert!(
+            allocs <= bound,
+            "pack of {ROWS} rows allocated {allocs} times (bound {bound}): values are cloned"
+        );
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! with Top-K pushdown. UPDATE and DELETE locate their rows here too.
 
 use crate::error::{Error, Result};
-use crate::expr::{contains_aggregate, eval, is_aggregate, Binding, EvalCtx, Params};
+use crate::expr::{
+    contains_aggregate, eval, is_aggregate, resolve_column, Binding, EvalCtx, Params,
+};
 use crate::result::ResultSet;
+use crate::schema::TableSchema;
 use crate::sql::ast::*;
 use crate::storage::Storage;
 use crate::table::{Row, RowId, Snapshot, Table};
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-
-/// One position in the join product: a row id per table binding (None for
-/// the null-extended side of a LEFT JOIN).
-type Combo = Vec<Option<RowId>>;
 
 struct Source<'a> {
     binding: String,
@@ -81,8 +81,8 @@ pub fn run_select_counted(
 /// Like [`run_select`], but reads at an explicit MVCC snapshot and reports
 /// full executor statistics (rows scanned, access-path choices, Top-K
 /// shortcuts) into `stats`.
-pub fn run_select_with_stats(
-    storage: &Storage,
+pub fn run_select_with_stats<'a>(
+    storage: &'a Storage,
     sel: &Select,
     params: &Params,
     snap: Snapshot,
@@ -110,7 +110,7 @@ pub fn run_select_with_stats(
     };
 
     // Resolve sources.
-    let mut sources: Vec<Source<'_>> = Vec::with_capacity(1 + from.joins.len());
+    let mut sources: Vec<Source<'a>> = Vec::with_capacity(1 + from.joins.len());
     sources.push(Source {
         binding: from.base.binding().to_string(),
         table: storage.require_table(&from.base.table)?,
@@ -123,6 +123,7 @@ pub fn run_select_with_stats(
             snap,
         });
     }
+    let mut scope = Scope::new(&sources);
 
     // Split WHERE into conjuncts for pushdown.
     let where_conjuncts = sel
@@ -131,14 +132,17 @@ pub fn run_select_with_stats(
         .map(|w| conjuncts(w))
         .unwrap_or_default();
 
-    let base_ids = locate_rows(&sources[0], &where_conjuncts, params, stats)?;
+    let base = locate_rows(&sources[0], &where_conjuncts, params, stats)?;
+    let mut combos = Combos {
+        width: 1,
+        rows: base.into_iter().map(|(_, row)| Some(row)).collect(),
+    };
 
     // Build the join product left to right. Per join, pick one access
     // path for the whole prefix set: index nested-loop when a covering
     // index exists, a build/probe hash table for plain equi-conjuncts,
-    // and a single hoisted scan id-list otherwise (shared across combos
+    // and a single hoisted scan list otherwise (shared across combos
     // instead of re-collected per prefix).
-    let mut combos: Vec<Combo> = base_ids.into_iter().map(|id| vec![Some(id)]).collect();
     for (jpos, join) in from.joins.iter().enumerate() {
         if combos.is_empty() {
             // inner and left joins both preserve emptiness
@@ -151,24 +155,20 @@ pub fn run_select_with_stats(
         let probes = extract_probes(cur, &on_conjuncts, &prev_names);
         let probe_cols: Vec<usize> = probes.iter().map(|(c, _)| *c).collect();
 
-        enum JoinPlan {
+        enum JoinPlan<'a> {
             /// One candidate list per prefix combo (index probe / hash join).
-            PerCombo(Vec<Vec<RowId>>),
+            PerCombo(Vec<Vec<&'a Row>>),
             /// One shared candidate list (full-scan fallback).
-            Scan(Vec<RowId>),
+            Scan(Vec<&'a Row>),
         }
 
         let plan = if !probes.is_empty() && has_covering_index(cur.table, &probe_cols) {
             let mut lists = Vec::with_capacity(combos.len());
-            for combo in &combos {
-                let bindings = make_bindings(prev_sources, combo);
-                let ctx = EvalCtx {
-                    bindings: &bindings,
-                    params,
-                };
+            for combo in combos.iter() {
                 stats.index_probes += 1;
-                lists
-                    .push(try_index_probe(cur.table, &probes, &ctx, cur.snap)?.unwrap_or_default());
+                let ctx = scope.ctx(combo, params);
+                let found = try_index_probe(cur.table, &probes, &ctx, cur.snap)?;
+                lists.push(found.into_iter().flatten().map(|(_, r)| r).collect());
             }
             JoinPlan::PerCombo(lists)
         } else if !probes.is_empty() {
@@ -176,41 +176,37 @@ pub fn run_select_with_stats(
             JoinPlan::PerCombo(hash_join_candidates(
                 cur,
                 &probes,
-                prev_sources,
+                &mut scope,
                 &combos,
                 params,
                 &mut stats.scanned,
             )?)
         } else {
             stats.scan_fallbacks += 1;
-            JoinPlan::Scan(cur.table.iter_visible(cur.snap).map(|(id, _)| id).collect())
+            JoinPlan::Scan(cur.table.iter_visible(cur.snap).map(|(_, r)| r).collect())
         };
 
-        let mut next: Vec<Combo> = Vec::new();
-        let sources_through = &sources[..jpos + 2];
-        let mut extend = |combo: &Combo, cands: &[RowId]| -> Result<()> {
+        let mut next = Combos {
+            width: jpos + 2,
+            rows: Vec::new(),
+        };
+        let mut extend = |combo: &[Option<&'a Row>], cands: &[&'a Row]| -> Result<()> {
             stats.scanned += cands.len() as u64;
             let mut matched = false;
             for &cand in cands {
-                let mut extended = combo.clone();
-                extended.push(Some(cand));
-                let ok = {
-                    let bindings = make_bindings(sources_through, &extended);
-                    let ctx = EvalCtx {
-                        bindings: &bindings,
-                        params,
-                    };
-                    eval(&join.on, &ctx)?.is_truthy()
-                };
-                if ok {
+                let start = next.rows.len();
+                next.rows.extend_from_slice(combo);
+                next.rows.push(Some(cand));
+                let ctx = scope.ctx(&next.rows[start..], params);
+                if eval(&join.on, &ctx)?.is_truthy() {
                     matched = true;
-                    next.push(extended);
+                } else {
+                    next.rows.truncate(start);
                 }
             }
             if !matched && join.kind == JoinKind::Left {
-                let mut extended = combo.clone();
-                extended.push(None);
-                next.push(extended);
+                next.rows.extend_from_slice(combo);
+                next.rows.push(None);
             }
             Ok(())
         };
@@ -220,32 +216,19 @@ pub fn run_select_with_stats(
                     extend(combo, cands)?;
                 }
             }
-            JoinPlan::Scan(ids) => {
-                for combo in &combos {
-                    extend(combo, &ids)?;
+            JoinPlan::Scan(rows) => {
+                for combo in combos.iter() {
+                    extend(combo, &rows)?;
                 }
             }
         }
         combos = next;
     }
+    combos.width = sources.len();
 
     // Residual WHERE filter.
     if let Some(w) = &sel.where_clause {
-        let mut filtered = Vec::with_capacity(combos.len());
-        for combo in combos {
-            let keep = {
-                let bindings = make_bindings(&sources, &combo);
-                let ctx = EvalCtx {
-                    bindings: &bindings,
-                    params,
-                };
-                eval(w, &ctx)?.is_truthy()
-            };
-            if keep {
-                filtered.push(combo);
-            }
-        }
-        combos = filtered;
+        combos.retain(|combo| Ok(eval(w, &scope.ctx(combo, params))?.is_truthy()))?;
     }
 
     let grouped = !sel.group_by.is_empty()
@@ -254,14 +237,48 @@ pub fn run_select_with_stats(
             .iter()
             .any(|i| matches!(i, SelectItem::Expr { expr, .. } if contains_aggregate(expr)));
 
-    let (names, mut out_rows, sort_keys) = if grouped {
-        project_grouped(sel, &sources, combos, params)?
+    let (names, mut items) = expand_items(sel, &sources)?;
+    // Rows projected before ordering, and per row the `n_extra` ORDER BY
+    // keys that are neither a source cell nor an output cell.
+    let mut projected: Vec<Vec<Value>> = Vec::new();
+    let mut extras: Vec<Value> = Vec::new();
+    let (keys, n_extra, early) = if grouped {
+        (projected, extras) = project_grouped(sel, &items, &names, &combos, &mut scope, params)?;
+        let keys = (0..sel.order_by.len()).map(SortKey::Extra).collect();
+        (keys, sel.order_by.len(), false)
     } else {
-        project_plain(sel, &sources, combos, params)?
+        let mut unresolved = false;
+        for item in &mut items {
+            if let Item::Expr(Expr::Column { table, name }) = *item {
+                match resolve_column(scope.names(), table.as_deref(), name) {
+                    Ok((source, column)) => *item = Item::Cell { source, column },
+                    // left to `eval`, which raises the resolution error
+                    // at the first row projected (none on an empty result)
+                    Err(_) => unresolved = true,
+                }
+            }
+        }
+        let (keys, computed) = sort_keys(sel, &names, &items, &scope);
+        // Ordering before projecting needs every key in a source row and a
+        // projection that cannot fail to resolve: then rows cut by LIMIT
+        // or OFFSET are never copied. Otherwise project every row first.
+        let early = !unresolved && keys.iter().all(|k| matches!(k, SortKey::Cell { .. }));
+        if !early {
+            projected.reserve_exact(combos.len());
+            for combo in combos.iter() {
+                projected.push(project_row(&items, combo, &mut scope, params)?);
+                for e in &computed {
+                    extras.push(computed_key(e, combo, &mut scope, params)?);
+                }
+            }
+        }
+        (keys, computed.len(), early)
     };
+    let n = if early { combos.len() } else { projected.len() };
 
-    // LIMIT / OFFSET are row-independent, so evaluate them up front: when
-    // ORDER BY is present they bound the Top-K heap below.
+    // LIMIT / OFFSET are row-independent, so evaluate them up front: they
+    // bound the Top-K heap and, when rows are ordered before projecting,
+    // how many rows are projected at all.
     let empty: [Binding<'_>; 0] = [];
     let const_ctx = EvalCtx {
         bindings: &empty,
@@ -276,66 +293,157 @@ pub fn run_select_with_stats(
         None => None,
     };
 
-    // Comparator shared by the full sort and the Top-K heap: the ORDER BY
-    // spec first, then the original row position — which makes the heap
-    // selection exactly equivalent to a stable sort followed by a slice.
-    let cmp_rows = |a: usize, b: usize| -> std::cmp::Ordering {
-        for (k, item) in sel.order_by.iter().enumerate() {
-            let ord = sort_keys[a][k].total_cmp(&sort_keys[b][k]);
-            let ord = if item.ascending { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+    // Row order: the ORDER BY keys first, then the original row position —
+    // which makes the Top-K heap selection exactly equivalent to a stable
+    // sort followed by a slice.
+    let order: Vec<usize> = {
+        let key = |row: usize, k: &SortKey| -> &Value {
+            match *k {
+                SortKey::Cell { source, column } => {
+                    combos.get(row)[source].map_or(&NULL, |r| &r[column])
+                }
+                SortKey::Output(pos) => &projected[row][pos],
+                SortKey::Extra(i) => &extras[row * n_extra + i],
             }
+        };
+        let cmp_rows = |a: usize, b: usize| -> std::cmp::Ordering {
+            for (k, item) in keys.iter().zip(&sel.order_by) {
+                let ord = key(a, k).total_cmp(key(b, k));
+                let ord = if item.ascending { ord } else { ord.reverse() };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            a.cmp(&b)
+        };
+        let top_k = limit
+            .map(|l| l.saturating_add(offset))
+            .filter(|&k| !sel.order_by.is_empty() && !sel.distinct && k < n);
+        if let Some(k) = top_k {
+            // Top-K pushdown: with ORDER BY + a constant LIMIT (and no
+            // DISTINCT, which dedupes *after* ordering), only the first
+            // `offset + limit` rows in sort order can survive — select
+            // them with a bounded heap, O(n log k), instead of sorting all.
+            stats.topk_shortcuts += 1;
+            top_k_indices(n, k, &cmp_rows)
+        } else {
+            let mut idx: Vec<usize> = (0..n).collect();
+            if !sel.order_by.is_empty() {
+                idx.sort_by(|&a, &b| cmp_rows(a, b));
+            }
+            idx
         }
-        a.cmp(&b)
     };
 
-    // Top-K pushdown: with ORDER BY + a constant LIMIT (and no DISTINCT,
-    // which dedupes *after* ordering here), only the first
-    // `offset + limit` rows in sort order can survive — select them with
-    // a bounded heap, O(n log k), instead of sorting everything.
-    if !sel.order_by.is_empty() && !sel.distinct {
-        if let Some(l) = limit {
-            let k = l.saturating_add(offset);
-            if k < out_rows.len() {
-                stats.topk_shortcuts += 1;
-                let top = top_k_indices(out_rows.len(), k, &cmp_rows);
-                let mut selected: Vec<Vec<Value>> = top
-                    .into_iter()
-                    .map(|i| std::mem::take(&mut out_rows[i]))
-                    .collect();
-                selected.drain(..offset.min(selected.len()));
-                return Ok(ResultSet::new(names, selected));
+    // Emit in order: DISTINCT, then OFFSET, then LIMIT. Early-ordered rows
+    // are projected here, only those that survive.
+    let limit = limit.unwrap_or(usize::MAX);
+    let mut out = Vec::with_capacity(order.len().saturating_sub(offset).min(limit));
+    let mut seen: HashSet<Vec<Value>> = HashSet::new();
+    let mut skip = offset;
+    for i in order {
+        if out.len() >= limit {
+            break;
+        }
+        if skip > 0 && !sel.distinct {
+            skip -= 1;
+            continue;
+        }
+        let row = if early {
+            project_row(&items, combos.get(i), &mut scope, params)?
+        } else {
+            std::mem::take(&mut projected[i])
+        };
+        if sel.distinct && !seen.insert(row.clone()) {
+            continue;
+        }
+        if skip > 0 {
+            skip -= 1;
+            continue;
+        }
+        out.push(row);
+    }
+    Ok(ResultSet::new(names, out))
+}
+
+/// The cell an ORDER BY key reads on the null-extended side of a LEFT JOIN.
+static NULL: Value = Value::Null;
+
+/// The join product, flattened: `width` row slots per position, one per
+/// source in FROM order (None for the null-extended side of a LEFT JOIN).
+/// Each source's visible version is found once, when the position is
+/// formed; filters, sort keys and the projection then read it in place.
+/// A single-table SELECT thus carries one bare row reference per row.
+struct Combos<'a> {
+    width: usize,
+    rows: Vec<Option<&'a Row>>,
+}
+
+impl<'a> Combos<'a> {
+    fn len(&self) -> usize {
+        self.rows.len() / self.width
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn get(&self, i: usize) -> &[Option<&'a Row>] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, Option<&'a Row>> {
+        self.rows.chunks_exact(self.width)
+    }
+
+    /// Keep the positions `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&[Option<&'a Row>]) -> Result<bool>) -> Result<()> {
+        let w = self.width;
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if keep(self.get(i))? {
+                self.rows.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
             }
         }
+        self.rows.truncate(kept * w);
+        Ok(())
+    }
+}
+
+/// Expression bindings for one statement: one per source, built once and
+/// re-pointed at a combo's rows for each evaluation.
+struct Scope<'s> {
+    bindings: Vec<Binding<'s>>,
+}
+
+impl<'s> Scope<'s> {
+    fn new(sources: &'s [Source<'_>]) -> Scope<'s> {
+        let bindings = sources
+            .iter()
+            .map(|s| Binding {
+                name: &s.binding,
+                schema: &s.table.schema,
+                row: None,
+            })
+            .collect();
+        Scope { bindings }
     }
 
-    // ORDER BY using the precomputed keys (full, stable sort).
-    if !sel.order_by.is_empty() {
-        let mut idx: Vec<usize> = (0..out_rows.len()).collect();
-        idx.sort_by(|&a, &b| cmp_rows(a, b));
-        let mut reordered = Vec::with_capacity(out_rows.len());
-        for i in idx {
-            reordered.push(std::mem::take(&mut out_rows[i]));
+    /// The sources as [`resolve_column`] scopes.
+    fn names(&self) -> impl Iterator<Item = (&'s str, &'s TableSchema)> + '_ {
+        self.bindings.iter().map(|b| (b.name, b.schema))
+    }
+
+    /// An evaluation context over `combo`, the rows of the first
+    /// `combo.len()` sources.
+    fn ctx<'x>(&'x mut self, combo: &[Option<&'s Row>], params: &'x Params) -> EvalCtx<'x> {
+        let bindings = &mut self.bindings[..combo.len()];
+        for (b, row) in bindings.iter_mut().zip(combo) {
+            b.row = *row;
         }
-        out_rows = reordered;
+        EvalCtx { bindings, params }
     }
-
-    // DISTINCT.
-    if sel.distinct {
-        let mut seen: HashSet<Vec<Value>> = HashSet::with_capacity(out_rows.len());
-        out_rows.retain(|r| seen.insert(r.clone()));
-    }
-
-    // LIMIT / OFFSET.
-    if offset > 0 {
-        out_rows.drain(..offset.min(out_rows.len()));
-    }
-    if let Some(l) = limit {
-        out_rows.truncate(l);
-    }
-
-    Ok(ResultSet::new(names, out_rows))
 }
 
 /// Indices of the `k` smallest rows under `cmp`, in sorted order, selected
@@ -397,18 +505,6 @@ fn eval_usize(e: &Expr, ctx: &EvalCtx<'_>, what: &str) -> Result<usize> {
             "{what} must be a non-negative integer, got {other:?}"
         ))),
     }
-}
-
-fn make_bindings<'a>(sources: &'a [Source<'a>], combo: &'a Combo) -> Vec<Binding<'a>> {
-    sources
-        .iter()
-        .zip(combo.iter())
-        .map(|(s, id)| Binding {
-            name: &s.binding,
-            schema: &s.table.schema,
-            row: id.and_then(|id| s.table.visible_row(id, s.snap)),
-        })
-        .collect()
 }
 
 /// Split an expression into AND-ed conjuncts.
@@ -519,25 +615,21 @@ fn has_covering_index(table: &Table, probe_cols: &[usize]) -> bool {
 /// [`probe_key_part`], as in [`try_index_probe`]; NULL or uncoercible keys
 /// never match, like `=` under SQL three-valued logic. Over-inclusive
 /// matches are filtered by the caller's full ON evaluation.
-fn hash_join_candidates(
-    cur: &Source<'_>,
+fn hash_join_candidates<'a, 's>(
+    cur: &Source<'a>,
     probes: &[(usize, &Expr)],
-    prev_sources: &[Source<'_>],
-    combos: &[Combo],
+    scope: &mut Scope<'s>,
+    combos: &Combos<'s>,
     params: &Params,
     scanned: &mut u64,
-) -> Result<Vec<Vec<RowId>>> {
+) -> Result<Vec<Vec<&'a Row>>> {
     let col_types: Vec<DataType> = probes
         .iter()
         .map(|(c, _)| cur.table.schema.columns[*c].data_type)
         .collect();
     // Probe key for one prefix combo; None ⇒ can never match.
-    let combo_key = |combo: &Combo| -> Result<Option<Vec<Value>>> {
-        let bindings = make_bindings(prev_sources, combo);
-        let ctx = EvalCtx {
-            bindings: &bindings,
-            params,
-        };
+    let mut combo_key = |combo: &[Option<&'s Row>]| -> Result<Option<Vec<Value>>> {
+        let ctx = scope.ctx(combo, params);
         let mut key = Vec::with_capacity(probes.len());
         for ((_, e), ty) in probes.iter().zip(&col_types) {
             match probe_key_part(eval(e, &ctx)?, *ty) {
@@ -561,7 +653,7 @@ fn hash_join_candidates(
     };
     // Either direction makes exactly one pass over the table.
     *scanned += cur.table.len() as u64;
-    let mut out: Vec<Vec<RowId>> = vec![Vec::new(); combos.len()];
+    let mut out: Vec<Vec<&'a Row>> = vec![Vec::new(); combos.len()];
     if combos.len() < cur.table.len() {
         // build over the smaller prefix side, stream the table past it
         let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(combos.len());
@@ -570,28 +662,28 @@ fn hash_join_candidates(
                 by_key.entry(key).or_default().push(i);
             }
         }
-        for (id, row) in cur.table.iter_visible(cur.snap) {
+        for (_, row) in cur.table.iter_visible(cur.snap) {
             if let Some(key) = row_key(row) {
                 if let Some(targets) = by_key.get(&key) {
                     for &i in targets {
-                        out[i].push(id);
+                        out[i].push(row);
                     }
                 }
             }
         }
     } else {
         // build over the table, probe once per prefix combo
-        let mut by_key: HashMap<Vec<Value>, Vec<RowId>> =
+        let mut by_key: HashMap<Vec<Value>, Vec<&'a Row>> =
             HashMap::with_capacity(cur.table.len().min(1024));
-        for (id, row) in cur.table.iter_visible(cur.snap) {
+        for (_, row) in cur.table.iter_visible(cur.snap) {
             if let Some(key) = row_key(row) {
-                by_key.entry(key).or_default().push(id);
+                by_key.entry(key).or_default().push(row);
             }
         }
         for (i, combo) in combos.iter().enumerate() {
             if let Some(key) = combo_key(combo)? {
-                if let Some(ids) = by_key.get(&key) {
-                    out[i] = ids.clone();
+                if let Some(rows) = by_key.get(&key) {
+                    out[i] = rows.clone();
                 }
             }
         }
@@ -615,24 +707,23 @@ pub(crate) fn dml_rows(
         snap,
     };
     let where_conjuncts = where_clause.map(conjuncts).unwrap_or_default();
-    let mut ids = locate_rows(&source, &where_conjuncts, params, stats)?;
-    if let Some(w) = where_clause {
-        let mut kept = Vec::with_capacity(ids.len());
-        for id in ids {
+    let mut ids = Vec::new();
+    for (id, row) in locate_rows(&source, &where_conjuncts, params, stats)? {
+        if let Some(w) = where_clause {
             let bindings = [Binding {
                 name: &source.binding,
                 schema: &table.schema,
-                row: table.visible_row(id, snap),
+                row: Some(row),
             }];
             let ctx = EvalCtx {
                 bindings: &bindings,
                 params,
             };
-            if eval(w, &ctx)?.is_truthy() {
-                kept.push(id);
+            if !eval(w, &ctx)?.is_truthy() {
+                continue;
             }
         }
-        ids = kept;
+        ids.push(id);
     }
     Ok(ids)
 }
@@ -640,15 +731,15 @@ pub(crate) fn dml_rows(
 /// The one row locator for a table with no previous bindings — SELECT's
 /// base table and the WHERE of UPDATE and DELETE. Uses a PK or secondary
 /// index probe when the WHERE conjuncts bind one to row-independent
-/// values, and a scan otherwise. Returns the candidate ids in chain (scan)
-/// order and counts them into `stats`. Candidates may include rows the
-/// WHERE rejects; callers re-check it.
-fn locate_rows(
-    base: &Source<'_>,
+/// values, and a scan otherwise. Returns the candidates with their visible
+/// versions in chain (scan) order and counts them into `stats`. Candidates
+/// may include rows the WHERE rejects; callers re-check it.
+fn locate_rows<'a>(
+    base: &Source<'a>,
     where_conjuncts: &[&Expr],
     params: &Params,
     stats: &mut SelectStats,
-) -> Result<Vec<RowId>> {
+) -> Result<Vec<(RowId, &'a Row)>> {
     // for the base table, unqualified columns in WHERE do belong to it when
     // it is the only source; extract_probes handles qualification, so try
     // both qualified and unqualified forms here
@@ -697,15 +788,14 @@ fn locate_rows(
     let ids = match probed {
         Some(mut ids) => {
             stats.index_probes += 1;
-            ids.sort_unstable();
+            ids.sort_unstable_by_key(|&(id, _)| id);
             ids
         }
         None => {
             stats.scan_fallbacks += 1;
-            base.table
-                .iter_visible(base.snap)
-                .map(|(id, _)| id)
-                .collect()
+            let mut ids = Vec::with_capacity(base.table.len());
+            ids.extend(base.table.iter_visible(base.snap));
+            ids
         }
     };
     stats.scanned += ids.len() as u64;
@@ -743,13 +833,13 @@ fn probe_key_part(v: Value, ty: DataType) -> Option<Value> {
 /// when a key component can never match ([`probe_key_part`]). Index
 /// buckets cover every version holding the key, so each candidate is
 /// re-checked against the snapshot's visible version before it is
-/// returned.
-fn try_index_probe(
-    table: &Table,
+/// returned with that version.
+fn try_index_probe<'t>(
+    table: &'t Table,
     probes: &[(usize, &Expr)],
     ctx: &EvalCtx<'_>,
     snap: Snapshot,
-) -> Result<Option<Vec<RowId>>> {
+) -> Result<Option<Vec<(RowId, &'t Row)>>> {
     // primary key: all PK columns must be bound
     let pk = &table.schema.primary_key;
     if !pk.is_empty() && pk.iter().all(|c| probes.iter().any(|(p, _)| p == c)) {
@@ -766,11 +856,7 @@ fn try_index_probe(
             return Ok(Some(Vec::new()));
         };
         return Ok(Some(
-            table
-                .get_by_pk_visible(&key, snap)
-                .map(|(id, _)| id)
-                .into_iter()
-                .collect(),
+            table.get_by_pk_visible(&key, snap).into_iter().collect(),
         ));
     }
     // secondary index: find one whose full prefix is covered
@@ -784,7 +870,7 @@ fn try_index_probe(
             let Some(key) = probe_key(table, &covered, ctx)? else {
                 return Ok(Some(Vec::new()));
             };
-            return Ok(Some(table.probe_visible(ix, &key, snap)));
+            return Ok(Some(table.probe_visible_rows(ix, &key, snap).collect()));
         }
     }
     Ok(None)
@@ -809,46 +895,59 @@ fn probe_key(
 
 // ---- projection ---------------------------------------------------------
 
-/// Expand wildcards into concrete output column names + expressions.
-fn expand_items(sel: &Select, sources: &[Source<'_>]) -> Result<Vec<(String, Expr)>> {
-    let mut out = Vec::new();
+/// One output column, resolved once per statement.
+#[derive(Clone, Copy)]
+enum Item<'e> {
+    /// A source column: the cell is copied straight out of its row.
+    Cell { source: usize, column: usize },
+    /// Anything else, computed by [`eval`] per row.
+    Expr(&'e Expr),
+}
+
+/// Where an ORDER BY key is read when two rows are compared.
+#[derive(Clone, Copy)]
+enum SortKey {
+    /// A source column, read in place in the combo's row.
+    Cell { source: usize, column: usize },
+    /// A computed output column, read in place in the projected row.
+    Output(usize),
+    /// A key that is no column: materialised per row beside it.
+    Extra(usize),
+}
+
+/// Expand wildcards into concrete output column names and items.
+/// Wildcard columns are source cells; expression items stay expressions
+/// (the plain projection resolves column references among them).
+fn expand_items<'e>(
+    sel: &'e Select,
+    sources: &[Source<'_>],
+) -> Result<(Vec<String>, Vec<Item<'e>>)> {
+    let mut names = Vec::new();
+    let mut items = Vec::new();
     for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => {
-                for s in sources {
-                    for c in &s.table.schema.columns {
-                        out.push((
-                            c.name.clone(),
-                            Expr::Column {
-                                table: Some(s.binding.clone()),
-                                name: c.name.clone(),
-                            },
-                        ));
-                    }
-                }
-            }
+        let wild = match item {
+            SelectItem::Wildcard => 0..sources.len(),
             SelectItem::QualifiedWildcard(t) => {
                 let s = sources
                     .iter()
-                    .find(|s| s.binding.eq_ignore_ascii_case(t))
+                    .position(|s| s.binding.eq_ignore_ascii_case(t))
                     .ok_or_else(|| Error::UnknownTable(t.clone()))?;
-                for c in &s.table.schema.columns {
-                    out.push((
-                        c.name.clone(),
-                        Expr::Column {
-                            table: Some(s.binding.clone()),
-                            name: c.name.clone(),
-                        },
-                    ));
-                }
+                s..s + 1
             }
             SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| default_name(expr));
-                out.push((name, expr.clone()));
+                names.push(alias.clone().unwrap_or_else(|| default_name(expr)));
+                items.push(Item::Expr(expr));
+                continue;
+            }
+        };
+        for source in wild {
+            for (column, c) in sources[source].table.schema.columns.iter().enumerate() {
+                names.push(c.name.clone());
+                items.push(Item::Cell { source, column });
             }
         }
     }
-    Ok(out)
+    Ok((names, items))
 }
 
 fn default_name(e: &Expr) -> String {
@@ -859,8 +958,87 @@ fn default_name(e: &Expr) -> String {
     }
 }
 
-/// Resolve an ORDER BY expression to a key value, honouring select-list
-/// aliases and 1-based ordinals.
+/// Resolve the ORDER BY of a plain (ungrouped) SELECT once per statement.
+/// A select-list alias, a 1-based ordinal or an unqualified output name
+/// reads its output column; any other column reference reads its source
+/// column. Both read a source cell in place when the output column is one.
+/// Everything else — expressions, out-of-range ordinals, unresolvable
+/// columns — is returned among the computed keys, materialised per row.
+fn sort_keys<'e>(
+    sel: &'e Select,
+    names: &[String],
+    items: &[Item<'_>],
+    scope: &Scope<'_>,
+) -> (Vec<SortKey>, Vec<&'e Expr>) {
+    let output = |pos: usize| match items[pos] {
+        Item::Cell { source, column } => SortKey::Cell { source, column },
+        Item::Expr(_) => SortKey::Output(pos),
+    };
+    let mut keys = Vec::with_capacity(sel.order_by.len());
+    let mut computed = Vec::new();
+    for o in &sel.order_by {
+        let key = match &o.expr {
+            Expr::Literal(Value::Integer(i)) if *i >= 1 && (*i as usize) <= items.len() => {
+                Some(output(*i as usize - 1))
+            }
+            Expr::Column { table, name } => table
+                .is_none()
+                .then(|| names.iter().position(|n| n.eq_ignore_ascii_case(name)))
+                .flatten()
+                .map(output)
+                .or_else(|| {
+                    resolve_column(scope.names(), table.as_deref(), name)
+                        .ok()
+                        .map(|(source, column)| SortKey::Cell { source, column })
+                }),
+            _ => None,
+        };
+        keys.push(key.unwrap_or_else(|| {
+            computed.push(&o.expr);
+            SortKey::Extra(computed.len() - 1)
+        }));
+    }
+    (keys, computed)
+}
+
+/// A computed ORDER BY key for one row.
+fn computed_key<'s>(
+    e: &Expr,
+    combo: &[Option<&'s Row>],
+    scope: &mut Scope<'s>,
+    params: &Params,
+) -> Result<Value> {
+    match e {
+        // in-range ordinals read their output column (`sort_keys`)
+        Expr::Literal(Value::Integer(i)) => {
+            Err(Error::Eval(format!("ORDER BY ordinal {i} out of range")))
+        }
+        _ => eval(e, &scope.ctx(combo, params)),
+    }
+}
+
+/// The one projection loop: each output cell of one combo, source cells
+/// copied once, expressions evaluated.
+fn project_row<'s>(
+    items: &[Item<'_>],
+    combo: &[Option<&'s Row>],
+    scope: &mut Scope<'s>,
+    params: &Params,
+) -> Result<Vec<Value>> {
+    let mut row = Vec::with_capacity(items.len());
+    for item in items {
+        row.push(match *item {
+            Item::Cell { source, column } => {
+                combo[source].map_or(Value::Null, |r| r[column].clone())
+            }
+            Item::Expr(e) => eval(e, &scope.ctx(combo, params))?,
+        });
+    }
+    Ok(row)
+}
+
+/// Resolve a grouped ORDER BY expression to a key value, honouring
+/// select-list aliases and 1-based ordinals.
 fn order_key(item: &Expr, names: &[String], out_row: &[Value], ctx: &EvalCtx<'_>) -> Result<Value> {
     match item {
         Expr::Literal(Value::Integer(i)) => {
@@ -882,59 +1060,30 @@ fn order_key(item: &Expr, names: &[String], out_row: &[Value], ctx: &EvalCtx<'_>
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn project_plain(
-    sel: &Select,
-    sources: &[Source<'_>],
-    combos: Vec<Combo>,
-    params: &Params,
-) -> Result<(Vec<String>, Vec<Vec<Value>>, Vec<Vec<Value>>)> {
-    let items = expand_items(sel, sources)?;
-    let names: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
-    let mut rows = Vec::with_capacity(combos.len());
-    let mut keys = Vec::with_capacity(combos.len());
-    for combo in &combos {
-        let bindings = make_bindings(sources, combo);
-        let ctx = EvalCtx {
-            bindings: &bindings,
-            params,
-        };
-        let mut row = Vec::with_capacity(items.len());
-        for (_, e) in &items {
-            row.push(eval(e, &ctx)?);
-        }
-        let mut key = Vec::with_capacity(sel.order_by.len());
-        for o in &sel.order_by {
-            key.push(order_key(&o.expr, &names, &row, &ctx)?);
-        }
-        rows.push(row);
-        keys.push(key);
-    }
-    Ok((names, rows, keys))
-}
-
 /// Replace every aggregate call in `e` with its value over `group`.
-fn rewrite_aggregates(
+fn rewrite_aggregates<'s>(
     e: &Expr,
-    sources: &[Source<'_>],
-    group: &[Combo],
+    combos: &Combos<'s>,
+    group: &[usize],
+    scope: &mut Scope<'s>,
     params: &Params,
 ) -> Result<Expr> {
+    let mut re = |e: &Expr| rewrite_aggregates(e, combos, group, scope, params);
     Ok(match e {
         Expr::Function { name, args, star } if is_aggregate(name) => Expr::Literal(
-            compute_aggregate(name, args, *star, sources, group, params)?,
+            compute_aggregate(name, args, *star, combos, group, scope, params)?,
         ),
         Expr::Unary { op, expr } => Expr::Unary {
             op: *op,
-            expr: Box::new(rewrite_aggregates(expr, sources, group, params)?),
+            expr: Box::new(re(expr)?),
         },
         Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_aggregates(left, sources, group, params)?),
+            left: Box::new(re(left)?),
             op: *op,
-            right: Box::new(rewrite_aggregates(right, sources, group, params)?),
+            right: Box::new(re(right)?),
         },
         Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_aggregates(expr, sources, group, params)?),
+            expr: Box::new(re(expr)?),
             negated: *negated,
         },
         Expr::Like {
@@ -942,8 +1091,8 @@ fn rewrite_aggregates(
             pattern,
             negated,
         } => Expr::Like {
-            expr: Box::new(rewrite_aggregates(expr, sources, group, params)?),
-            pattern: Box::new(rewrite_aggregates(pattern, sources, group, params)?),
+            expr: Box::new(re(expr)?),
+            pattern: Box::new(re(pattern)?),
             negated: *negated,
         },
         Expr::InList {
@@ -951,11 +1100,8 @@ fn rewrite_aggregates(
             list,
             negated,
         } => Expr::InList {
-            expr: Box::new(rewrite_aggregates(expr, sources, group, params)?),
-            list: list
-                .iter()
-                .map(|i| rewrite_aggregates(i, sources, group, params))
-                .collect::<Result<Vec<_>>>()?,
+            expr: Box::new(re(expr)?),
+            list: list.iter().map(&mut re).collect::<Result<Vec<_>>>()?,
             negated: *negated,
         },
         Expr::Between {
@@ -964,29 +1110,27 @@ fn rewrite_aggregates(
             hi,
             negated,
         } => Expr::Between {
-            expr: Box::new(rewrite_aggregates(expr, sources, group, params)?),
-            lo: Box::new(rewrite_aggregates(lo, sources, group, params)?),
-            hi: Box::new(rewrite_aggregates(hi, sources, group, params)?),
+            expr: Box::new(re(expr)?),
+            lo: Box::new(re(lo)?),
+            hi: Box::new(re(hi)?),
             negated: *negated,
         },
         Expr::Function { name, args, star } => Expr::Function {
             name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_aggregates(a, sources, group, params))
-                .collect::<Result<Vec<_>>>()?,
+            args: args.iter().map(&mut re).collect::<Result<Vec<_>>>()?,
             star: *star,
         },
         other => other.clone(),
     })
 }
 
-fn compute_aggregate(
+fn compute_aggregate<'s>(
     name: &str,
     args: &[Expr],
     star: bool,
-    sources: &[Source<'_>],
-    group: &[Combo],
+    combos: &Combos<'s>,
+    group: &[usize],
+    scope: &mut Scope<'s>,
     params: &Params,
 ) -> Result<Value> {
     if name == "COUNT" && star {
@@ -996,13 +1140,8 @@ fn compute_aggregate(
         .first()
         .ok_or_else(|| Error::Eval(format!("{name} requires an argument")))?;
     let mut vals: Vec<Value> = Vec::with_capacity(group.len());
-    for combo in group {
-        let bindings = make_bindings(sources, combo);
-        let ctx = EvalCtx {
-            bindings: &bindings,
-            params,
-        };
-        let v = eval(arg, &ctx)?;
+    for &i in group {
+        let v = eval(arg, &scope.ctx(combos.get(i), params))?;
         if !v.is_null() {
             vals.push(v);
         }
@@ -1041,89 +1180,83 @@ fn compute_aggregate(
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn project_grouped(
+/// Project a grouped SELECT: one row per group that passes HAVING, and
+/// beside each its ORDER BY keys, `sel.order_by.len()` per row.
+fn project_grouped<'s>(
     sel: &Select,
-    sources: &[Source<'_>],
-    combos: Vec<Combo>,
+    items: &[Item<'_>],
+    names: &[String],
+    combos: &Combos<'s>,
+    scope: &mut Scope<'s>,
     params: &Params,
-) -> Result<(Vec<String>, Vec<Vec<Value>>, Vec<Vec<Value>>)> {
-    let items = expand_items(sel, sources)?;
-    let names: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
+) -> Result<(Vec<Vec<Value>>, Vec<Value>)> {
+    // Grouped items are evaluated as expressions over the group's first
+    // combo; a wildcard cell is its qualified column reference.
+    let exprs: Vec<Cow<'_, Expr>> = items
+        .iter()
+        .map(|item| match *item {
+            Item::Expr(e) => Cow::Borrowed(e),
+            Item::Cell { source, column } => {
+                let b = &scope.bindings[source];
+                Cow::Owned(Expr::Column {
+                    table: Some(b.name.to_string()),
+                    name: b.schema.columns[column].name.clone(),
+                })
+            }
+        })
+        .collect();
 
     // Partition combos into groups by the GROUP BY key (implicit single
     // group when GROUP BY is absent but aggregates are present).
-    let mut groups: Vec<(Vec<Value>, Vec<Combo>)> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     if sel.group_by.is_empty() {
-        groups.push((Vec::new(), combos));
+        groups.push((0..combos.len()).collect());
     } else {
-        let mut index: std::collections::HashMap<Vec<Value>, usize> =
-            std::collections::HashMap::new();
-        for combo in combos {
-            let key = {
-                let bindings = make_bindings(sources, &combo);
-                let ctx = EvalCtx {
-                    bindings: &bindings,
-                    params,
-                };
-                sel.group_by
-                    .iter()
-                    .map(|e| eval(e, &ctx))
-                    .collect::<Result<Vec<_>>>()?
-            };
+        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        for (i, combo) in combos.iter().enumerate() {
+            let key = sel
+                .group_by
+                .iter()
+                .map(|e| eval(e, &scope.ctx(combo, params)))
+                .collect::<Result<Vec<_>>>()?;
             match index.get(&key) {
-                Some(&i) => groups[i].1.push(combo),
+                Some(&g) => groups[g].push(i),
                 None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![combo]));
+                    index.insert(key, groups.len());
+                    groups.push(vec![i]);
                 }
             }
         }
     }
 
     let mut rows = Vec::with_capacity(groups.len());
-    let mut keys = Vec::with_capacity(groups.len());
-    for (_, group) in &groups {
-        if group.is_empty() {
-            // implicit group over empty input: aggregates still produce a row
-            if !sel.group_by.is_empty() {
-                continue;
-            }
-        }
+    let mut keys = Vec::with_capacity(groups.len() * sel.order_by.len());
+    for group in &groups {
+        // an empty group is the implicit one over empty input: its
+        // aggregates still produce a row, evaluated with no bindings
+        let first: &[Option<&Row>] = group.first().map_or(&[], |&i| combos.get(i));
         // HAVING
         if let Some(h) = &sel.having {
-            let rewritten = rewrite_aggregates(h, sources, group, params)?;
-            let keep = {
-                let first = group.first();
-                let bindings = first.map(|c| make_bindings(sources, c)).unwrap_or_default();
-                let ctx = EvalCtx {
-                    bindings: &bindings,
-                    params,
-                };
-                eval(&rewritten, &ctx)?.is_truthy()
-            };
-            if !keep {
+            let rewritten = rewrite_aggregates(h, combos, group, scope, params)?;
+            if !eval(&rewritten, &scope.ctx(first, params))?.is_truthy() {
                 continue;
             }
         }
-        let first = group.first();
-        let bindings = first.map(|c| make_bindings(sources, c)).unwrap_or_default();
-        let ctx = EvalCtx {
-            bindings: &bindings,
-            params,
-        };
-        let mut row = Vec::with_capacity(items.len());
-        for (_, e) in &items {
-            let rewritten = rewrite_aggregates(e, sources, group, params)?;
-            row.push(eval(&rewritten, &ctx)?);
+        let mut row = Vec::with_capacity(exprs.len());
+        for e in &exprs {
+            let rewritten = rewrite_aggregates(e, combos, group, scope, params)?;
+            row.push(eval(&rewritten, &scope.ctx(first, params))?);
         }
-        let mut key = Vec::with_capacity(sel.order_by.len());
         for o in &sel.order_by {
-            let rewritten = rewrite_aggregates(&o.expr, sources, group, params)?;
-            key.push(order_key(&rewritten, &names, &row, &ctx)?);
+            let rewritten = rewrite_aggregates(&o.expr, combos, group, scope, params)?;
+            keys.push(order_key(
+                &rewritten,
+                names,
+                &row,
+                &scope.ctx(first, params),
+            )?);
         }
         rows.push(row);
-        keys.push(key);
     }
-    Ok((names, rows, keys))
+    Ok((rows, keys))
 }

@@ -80,28 +80,42 @@ pub struct EvalCtx<'a> {
 impl<'a> EvalCtx<'a> {
     /// Resolve a (possibly qualified) column reference to its value.
     pub fn column(&self, table: Option<&str>, name: &str) -> Result<Value> {
-        match table {
-            Some(t) => {
-                for b in self.bindings {
-                    if b.name.eq_ignore_ascii_case(t) {
-                        let i = b.schema.require_column(name)?;
-                        return Ok(b.row.map(|r| r[i].clone()).unwrap_or(Value::Null));
+        let scopes = self.bindings.iter().map(|b| (b.name, b.schema));
+        let (b, i) = resolve_column(scopes, table, name)?;
+        Ok(self.bindings[b].row.map_or(Value::Null, |r| r[i].clone()))
+    }
+}
+
+/// Resolve a (possibly qualified) column reference against the bindings
+/// in scope, given as `(name, schema)` in FROM order: the position of the
+/// binding and of the column within it. Fails on an unknown qualifier, an
+/// unknown column, or an unqualified name more than one binding holds.
+/// The one resolution rule: [`EvalCtx::column`] applies it per
+/// evaluation, the SELECT executor once per statement.
+pub(crate) fn resolve_column<'s>(
+    scopes: impl IntoIterator<Item = (&'s str, &'s TableSchema)>,
+    table: Option<&str>,
+    name: &str,
+) -> Result<(usize, usize)> {
+    let mut scopes = scopes.into_iter().enumerate();
+    match table {
+        Some(t) => {
+            let (b, (_, schema)) = scopes
+                .find(|(_, (n, _))| n.eq_ignore_ascii_case(t))
+                .ok_or_else(|| Error::UnknownTable(t.to_string()))?;
+            Ok((b, schema.require_column(name)?))
+        }
+        None => {
+            let mut found = None;
+            for (b, (_, schema)) in scopes {
+                if let Some(i) = schema.column_index(name) {
+                    if found.is_some() {
+                        return Err(Error::UnknownColumn(format!("{name} is ambiguous")));
                     }
+                    found = Some((b, i));
                 }
-                Err(Error::UnknownTable(t.to_string()))
             }
-            None => {
-                let mut found: Option<Value> = None;
-                for b in self.bindings {
-                    if let Some(i) = b.schema.column_index(name) {
-                        if found.is_some() {
-                            return Err(Error::UnknownColumn(format!("{name} is ambiguous")));
-                        }
-                        found = Some(b.row.map(|r| r[i].clone()).unwrap_or(Value::Null));
-                    }
-                }
-                found.ok_or_else(|| Error::UnknownColumn(name.to_string()))
-            }
+            found.ok_or_else(|| Error::UnknownColumn(name.to_string()))
         }
     }
 }

@@ -101,6 +101,12 @@ impl ResultSet {
     pub fn into_rows(self) -> Vec<Vec<Value>> {
         self.rows
     }
+
+    /// The column names and the rows, moved out (bean packing moves each
+    /// cell into its bean instead of cloning it).
+    pub fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
+        (self.columns, self.rows)
+    }
 }
 
 #[cfg(test)]

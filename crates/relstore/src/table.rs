@@ -287,14 +287,27 @@ impl Table {
 
     /// Chains whose version visible under `snap` carries `key` in `ix`.
     pub fn probe_visible(&self, ix: &Index, key: &[Value], snap: Snapshot) -> Vec<RowId> {
-        ix.lookup(key)
-            .iter()
-            .copied()
-            .filter(|&id| {
-                self.visible_row(id, snap)
-                    .is_some_and(|r| ix.key_of(r).as_slice() == key)
-            })
+        self.probe_visible_rows(ix, key, snap)
+            .map(|(id, _)| id)
             .collect()
+    }
+
+    /// [`Table::probe_visible`] with each chain's visible version, so a
+    /// reader that needs the row does not walk the chain a second time.
+    pub fn probe_visible_rows<'t: 'k, 'k>(
+        &'t self,
+        ix: &'k Index,
+        key: &'k [Value],
+        snap: Snapshot,
+    ) -> impl Iterator<Item = (RowId, &'t Row)> + 'k {
+        let holds_key = move |r: &Row| {
+            ix.columns.len() == key.len() && ix.columns.iter().zip(key).all(|(&c, k)| r[c] == *k)
+        };
+        ix.lookup(key).iter().filter_map(move |&id| {
+            self.visible_row(id, snap)
+                .filter(|r| holds_key(r))
+                .map(|r| (id, r))
+        })
     }
 
     /// The secondary indexes of this table.

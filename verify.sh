@@ -49,6 +49,12 @@ for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
     cargo test --release -q --test create_forward seeded_concurrent_create_forward
 done
 
+echo "== SELECT projection oracle (seeded queries match a plain-Rust model under three seeds)"
+for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
+  RELSTORE_STRESS_SEED="$seed" \
+    cargo test -p relstore --release -q --test select_projection seeded_select_matches_model
+done
+
 echo "== tier-1 tests (root package: unit + integration + property suites)"
 cargo test --release -q
 
